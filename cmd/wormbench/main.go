@@ -73,7 +73,6 @@ func run() int {
 		trials    = flag.Int("trials", 0, "override trial count (0 = default)")
 		workers   = flag.Int("workers", 0, "parallel harness workers (0 = GOMAXPROCS)")
 		scale     = flag.Int("scale", 0, "network-size override for scale experiments (T14, T15; 0 = default)")
-		shards    = flag.Int("shards", 0, "simulator shard count for open-loop experiments (0/1 = sequential; outputs are byte-identical for every value)")
 		csvOut    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		doBench   = flag.Bool("bench", false, "run the benchmark suite instead of experiments")
 		benchOut  = flag.String("benchout", "BENCH.json", "benchmark report output path")
@@ -129,11 +128,8 @@ func run() int {
 		}()
 	}
 
-	cfg := core.Config{Seed: *seed, Quick: *quick, Trials: *trials, Workers: *workers, Scale: *scale, Shards: *shards}
-	if *telOut != "" || *shards >= 2 {
-		// With -shards the aggregate is attached even without -telemetry:
-		// its sharded_steps / shard_fallback_steps counters back the
-		// fallback warning below. Tables are byte-identical either way.
+	cfg := core.Config{Seed: *seed, Quick: *quick, Trials: *trials, Workers: *workers, Scale: *scale}
+	if *telOut != "" {
 		cfg.Telemetry = telemetry.NewAggregate()
 	}
 
@@ -150,13 +146,11 @@ func run() int {
 				return code
 			}
 		}
-		warnShardFallback(*shards, cfg.Telemetry)
 		return writeTelemetry(*telOut, cfg.Telemetry)
 	case *run != "":
 		if code := runOne(*run, cfg, *csvOut, *ckptDir); code != 0 {
 			return code
 		}
-		warnShardFallback(*shards, cfg.Telemetry)
 		return writeTelemetry(*telOut, cfg.Telemetry)
 	case *telOut != "":
 		// Standalone -telemetry: run the knee smoke workload with the full
@@ -179,28 +173,10 @@ func run() int {
 	return 0
 }
 
-// warnShardFallback reports — on stderr, never stdout, which CI
-// byte-diffs across shard counts — when -shards requested a parallel
-// stepper but every simulator step silently fell back to the
-// sequential path (see vcsim.Sim.ShardFallbackReason for the standing
-// conditions that cause this).
-func warnShardFallback(shards int, agg *telemetry.Aggregate) {
-	if shards < 2 || agg == nil {
-		return
-	}
-	snap := agg.Snapshot()
-	if snap.Counter("steps") > 0 && snap.Counter("sharded_steps") == 0 {
-		fmt.Fprintf(os.Stderr,
-			"wormbench: warning: -shards %d requested but no step ran sharded (%d of %d steps hit a fallback condition; the rest were below the activity cutoff)\n",
-			shards, snap.Counter("shard_fallback_steps"), snap.Counter("steps"))
-	}
-}
-
 // writeTelemetry publishes and exports the aggregate collected across the
-// experiments just run. A nil aggregate (no -telemetry flag) is a no-op,
-// as is an empty path (aggregate attached only for the fallback warning).
+// experiments just run. A nil aggregate (no -telemetry flag) is a no-op.
 func writeTelemetry(path string, agg *telemetry.Aggregate) int {
-	if agg == nil || path == "" {
+	if agg == nil {
 		return 0
 	}
 	snap := agg.Snapshot()

@@ -14,8 +14,9 @@ package main
 //	GET  /metrics                 daemon gauges          → 200 JSON
 //
 // Invalid submissions — including workloads the engine rejects with its
-// typed errors (vcsim.ErrBadConfig, ErrBadMessage, ErrOverHorizon) —
-// are 400s carrying the engine's message, never worker-side failures.
+// typed errors (vcsim.ErrBadConfig, ErrBadMessage, ErrOverHorizon) and
+// experiment scales core rejects (core.ErrBadScale) — are 400s carrying
+// the engine's message, never worker-side failures.
 // Submissions over the -max-queued admission cap are 429s with a
 // Retry-After header; bodies over 1 MiB are 413s (MaxBytesReader).
 
@@ -26,6 +27,7 @@ import (
 	"os"
 	"time"
 
+	"wormhole/internal/core"
 	"wormhole/internal/vcsim"
 )
 
@@ -175,6 +177,8 @@ func engineErrorKind(err error) string {
 		return "bad_message"
 	case errors.Is(err, vcsim.ErrBadConfig):
 		return "bad_config"
+	case errors.Is(err, core.ErrBadScale):
+		return "bad_scale"
 	}
 	return ""
 }

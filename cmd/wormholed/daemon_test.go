@@ -132,6 +132,11 @@ func TestSubmitValidation(t *testing.T) {
 			s.Topology = "hypercube"
 			return s
 		}()}, ""},
+		"butterfly size not a power of two": {JobSpec{Type: "sweep", Sweep: func() *SweepSpec {
+			s := testSweepSpec()
+			s.Size = 12
+			return s
+		}()}, ""},
 		"bad arbitration": {JobSpec{Type: "sweep", Sweep: func() *SweepSpec {
 			s := testSweepSpec()
 			s.Arbitration = "fifo"
@@ -338,4 +343,91 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 		}
 	}
 	fetch(t, srv.URL+"/api/v1/jobs/nope", http.StatusNotFound)
+}
+
+// TestBadScaleRejectedAtSubmit posts the exact experiment requests whose
+// scales the harness cannot build. Each must be a typed 400, and no job
+// may be persisted: accepted, they would fail in a worker.
+func TestBadScaleRejectedAtSubmit(t *testing.T) {
+	srv, m := startTestServer(t, t.TempDir(), 0)
+	defer m.Shutdown()
+
+	for _, body := range []string{
+		`{"type":"experiment","experiment":{"id":"T15","quick":true,"scale":300}}`,
+		`{"type":"experiment","experiment":{"id":"T14","scale":12}}`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply := map[string]string{}
+		json.NewDecoder(resp.Body).Decode(&reply) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || reply["engine_error"] != "bad_scale" {
+			t.Errorf("%s: status %d %v, want 400 bad_scale", body, resp.StatusCode, reply)
+		}
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("rejected submissions left %d jobs behind", len(jobs))
+	}
+}
+
+// TestJobPanicIsolated plants a panicking sweep runner. The job must end
+// failed with the panic value and its stack, the daemon must keep
+// serving, and a restart over the same state directory must leave the
+// job failed instead of re-queueing it.
+func TestJobPanicIsolated(t *testing.T) {
+	dir := t.TempDir()
+	srv, m := startTestServer(t, dir, 0)
+	m.runners["sweep"] = func(*job) error { panic("planted job panic") }
+
+	st := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: testSweepSpec()}))
+	failed := waitState(t, srv, st.ID, stateFailed)
+	if !strings.Contains(failed.Error, "planted job panic") || !strings.Contains(failed.Error, "goroutine") {
+		t.Fatalf("failed job error lacks the panic value or stack: %q", failed.Error)
+	}
+	other := decodeStatus(t, postJSON(t, srv.URL+"/api/v1/jobs",
+		JobSpec{Type: "experiment", Experiment: &ExperimentSpec{ID: "T1", Seed: 42, Quick: true}}))
+	waitState(t, srv, other.ID, stateDone)
+	m.Shutdown()
+	srv.Close()
+
+	srv2, m2 := startTestServer(t, dir, 0)
+	defer m2.Shutdown()
+	resp, err := http.Get(srv2.URL + "/api/v1/jobs/" + st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := decodeStatus(t, resp); after.State != stateFailed || after.Error != failed.Error {
+		t.Fatalf("after restart the job is %q (%q), want it still failed", after.State, after.Error)
+	}
+	fetch(t, srv2.URL+"/api/v1/jobs/"+st.ID+"/result", http.StatusConflict)
+}
+
+// TestV2StateDirResumes starts on testdata/v2-state, a state directory
+// written by the previous schema: a three-point sweep killed while its
+// last point ran. Its job.json carries shards and shard_note, a point
+// file carries sharded_steps, and point-002.snap frames a checkpoint
+// whose WORMSNAP is v2. The job must load and finish, the stale
+// checkpoint must fall back to a fresh run of its point, and the served
+// CSV must equal a fresh run of the same spec byte for byte.
+func TestV2StateDirResumes(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/v2-state")); err != nil {
+		t.Fatal(err)
+	}
+	srv, m := startTestServer(t, dir, 0)
+	defer m.Shutdown()
+	const id = "j000000"
+	resumed := waitState(t, srv, id, stateDone)
+	got := fetch(t, srv.URL+"/api/v1/jobs/"+id+"/result", http.StatusOK)
+
+	srvF, mF := startTestServer(t, t.TempDir(), 0)
+	defer mF.Shutdown()
+	fresh := decodeStatus(t, postJSON(t, srvF.URL+"/api/v1/jobs", JobSpec{Type: "sweep", Sweep: resumed.Spec.Sweep}))
+	waitState(t, srvF, fresh.ID, stateDone)
+	want := fetch(t, srvF.URL+"/api/v1/jobs/"+fresh.ID+"/result", http.StatusOK)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("resumed v2 job diverged from a fresh run\nwant:\n%s\ngot:\n%s", want, got)
+	}
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,7 +35,6 @@ import (
 
 	"wormhole/internal/core"
 	"wormhole/internal/fault"
-	"wormhole/internal/stats"
 	"wormhole/internal/telemetry"
 	"wormhole/internal/traffic"
 	"wormhole/internal/vcsim"
@@ -89,7 +89,6 @@ type SweepSpec struct {
 	Window     int    `json:"window,omitempty"`
 	MaxBacklog int    `json:"max_backlog,omitempty"`
 	Seed       uint64 `json:"seed,omitempty"`
-	Shards     int    `json:"shards,omitempty"`
 
 	// Faults is a fault schedule in the internal/fault grammar
 	// ("lane:EDGE@START-END edge:EDGE@START-END ...") applied to every
@@ -104,8 +103,8 @@ type SweepSpec struct {
 func (s *SweepSpec) network() (*traffic.Network, error) {
 	switch s.Topology {
 	case "butterfly":
-		if s.Size < 2 {
-			return nil, fmt.Errorf("butterfly size %d < 2", s.Size)
+		if s.Size < 2 || s.Size&(s.Size-1) != 0 {
+			return nil, fmt.Errorf("butterfly size %d is not a power of two ≥ 2", s.Size)
 		}
 		return traffic.NewButterflyNet(s.Size), nil
 	case "mesh", "torus":
@@ -206,7 +205,6 @@ func (s *SweepSpec) config(net *traffic.Network, rate float64) (traffic.Config, 
 		Window:              s.Window,
 		MaxBacklog:          s.MaxBacklog,
 		Seed:                s.Seed,
-		Shards:              s.Shards,
 		Faults:              sched,
 		Retry: vcsim.RetryPolicy{
 			MaxAttempts: s.RetryMaxAttempts,
@@ -216,7 +214,7 @@ func (s *SweepSpec) config(net *traffic.Network, rate float64) (traffic.Config, 
 	}, nil
 }
 
-// validate builds and immediately retires a Runner for the first rate,
+// validate builds and immediately discards a Runner for the first rate,
 // so a bad submission is rejected at POST time with the engine's typed
 // error (vcsim.ErrBadConfig / ErrBadMessage / ErrOverHorizon or the
 // traffic validation) instead of failing later in a worker.
@@ -232,11 +230,9 @@ func (s *SweepSpec) validate() error {
 	if err != nil {
 		return err
 	}
-	r, err := traffic.NewRunner(cfg)
-	if err != nil {
+	if _, err := traffic.NewRunner(cfg); err != nil {
 		return err
 	}
-	r.Close()
 	for _, rate := range s.Rates[1:] {
 		if rate <= 0 || rate > cfg.MaxRate() {
 			return fmt.Errorf("rate %g outside (0, %g]", rate, cfg.MaxRate())
@@ -252,17 +248,15 @@ type ExperimentSpec struct {
 	Quick  bool   `json:"quick,omitempty"`
 	Trials int    `json:"trials,omitempty"`
 	Scale  int    `json:"scale,omitempty"`
-	Shards int    `json:"shards,omitempty"`
 }
 
-func (e *ExperimentSpec) validate() error {
-	for _, known := range core.Experiments() {
-		if known.ID == e.ID {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown experiment %q", e.ID)
+func (e *ExperimentSpec) config() core.Config {
+	return core.Config{Seed: e.Seed, Quick: e.Quick, Trials: e.Trials, Scale: e.Scale}
 }
+
+// validate applies core.Check — the same check core.Run makes — so an
+// unknown ID or an unbuildable scale is a 400, not a failed job.
+func (e *ExperimentSpec) validate() error { return core.Check(e.ID, e.config()) }
 
 // JobSpec is the body of POST /api/v1/jobs.
 type JobSpec struct {
@@ -296,20 +290,15 @@ type JobStatus struct {
 	Error       string   `json:"error,omitempty"`
 	PointsDone  int      `json:"points_done,omitempty"`
 	PointsTotal int      `json:"points_total,omitempty"`
-	// ShardNote reports — typed, per satellite contract — why a job that
-	// asked for Shards ≥ 2 never actually stepped sharded.
-	ShardNote   string  `json:"shard_note,omitempty"`
-	CreatedUnix int64   `json:"created_unix"`
-	Spec        JobSpec `json:"spec"`
+	CreatedUnix int64    `json:"created_unix"`
+	Spec        JobSpec  `json:"spec"`
 }
 
 // pointResult memoizes one completed sweep point.
 type pointResult struct {
-	Rate           float64                 `json:"rate"`
-	Result         traffic.Result          `json:"result"`
-	Windows        []telemetry.WindowStats `json:"windows,omitempty"`
-	ShardedSteps   int64                   `json:"sharded_steps,omitempty"`
-	FallbackReason string                  `json:"fallback_reason,omitempty"`
+	Rate    float64                 `json:"rate"`
+	Result  traffic.Result          `json:"result"`
+	Windows []telemetry.WindowStats `json:"windows,omitempty"`
 }
 
 type job struct {
@@ -332,6 +321,9 @@ type manager struct {
 	queue     chan *job
 	stop      chan struct{}  // closed on graceful shutdown
 	chaos     *chaosInjector // nil unless -chaos armed the write path
+	// runners maps a job type to its body (see execute); tests plant a
+	// panicking runner to exercise the job boundary.
+	runners map[string]func(*job) error
 
 	mu     sync.Mutex
 	jobs   map[string]*job
@@ -356,6 +348,7 @@ func newManager(stateDir string, workers, ckptEvery, maxQueued int, chaosSeed ui
 		jobs:      map[string]*job{},
 		start:     time.Now(),
 	}
+	m.runners = map[string]func(*job) error{"sweep": m.runSweep, "experiment": m.runExperiment}
 	if chaosSeed != 0 {
 		m.chaos = newChaosInjector(chaosSeed)
 	}
@@ -563,15 +556,7 @@ func (m *manager) runJob(j *job) {
 		return
 	}
 	m.setState(j, stateRunning, "")
-	var err error
-	switch j.status.Spec.Type {
-	case "sweep":
-		err = m.runSweep(j)
-	case "experiment":
-		err = m.runExperiment(j)
-	default:
-		err = fmt.Errorf("unknown job type %q", j.status.Spec.Type)
-	}
+	err := m.execute(j)
 	switch {
 	case err == nil:
 		m.setState(j, stateDone, "")
@@ -583,6 +568,35 @@ func (m *manager) runJob(j *job) {
 	default:
 		m.setState(j, stateFailed, err.Error())
 	}
+}
+
+// execute runs the job body for its type. It is the job boundary: a
+// panic anywhere below — a poisoned spec persisted by an older binary,
+// an engine bug — fails this job alone with the panic value and stack,
+// and the failed state is persisted so a restart does not run it again.
+// Experiments interrupt by panicking with core.ErrInterrupted; that
+// panic is a pause, not a failure.
+func (m *manager) execute(j *job) (err error) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if e, ok := r.(error); ok && errors.Is(e, core.ErrInterrupted) {
+			if j.cancel.Load() {
+				err = errCanceled
+			} else {
+				err = errShutdown
+			}
+			return
+		}
+		err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+	}()
+	run, ok := m.runners[j.status.Spec.Type]
+	if !ok {
+		return fmt.Errorf("unknown job type %q", j.status.Spec.Type)
+	}
+	return run(j)
 }
 
 // --- sweep jobs --------------------------------------------------------------
@@ -608,25 +622,10 @@ func (m *manager) runSweep(j *job) error {
 		results = append(results, pr)
 		j.mu.Lock()
 		j.status.PointsDone = k + 1
-		if note := shardNote(spec.Shards, pr); note != "" && j.status.ShardNote == "" {
-			j.status.ShardNote = note
-		}
 		j.mu.Unlock()
 		m.persist(j)
 	}
 	return atomicWrite(filepath.Join(m.jobDir(st.ID), "result.csv"), []byte(renderSweepCSV(results)))
-}
-
-// shardNote is the typed silent-fallback report: the tenant asked for a
-// parallel stepper and no step ever ran on it.
-func shardNote(shards int, pr pointResult) string {
-	if shards < 2 || pr.ShardedSteps > 0 {
-		return ""
-	}
-	if pr.FallbackReason != "" {
-		return fmt.Sprintf("shards=%d requested but every step fell back to the sequential stepper: %s", shards, pr.FallbackReason)
-	}
-	return fmt.Sprintf("shards=%d requested but no step ran sharded: active backlog stayed below the per-shard cutoff", shards)
 }
 
 // runPoint runs (or resumes) one sweep point. The runner checkpoints
@@ -684,8 +683,6 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 			return pointResult{}, err
 		}
 	}
-	defer r.Close()
-
 	var res traffic.Result
 	if resume {
 		res, err = r.Resume()
@@ -703,11 +700,9 @@ func (m *manager) runPoint(j *job, net *traffic.Network, spec *SweepSpec, k int,
 		return pointResult{}, err
 	}
 	return pointResult{
-		Rate:           rate,
-		Result:         res,
-		Windows:        append([]telemetry.WindowStats(nil), r.Windows()...),
-		ShardedSteps:   r.ShardedSteps(),
-		FallbackReason: r.ShardFallbackReason(),
+		Rate:    rate,
+		Result:  res,
+		Windows: append([]telemetry.WindowStats(nil), r.Windows()...),
 	}, nil
 }
 
@@ -786,45 +781,23 @@ func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // runExperiment runs a core registry experiment under checkpoint
 // memoization and renders its tables exactly as `wormbench -csv` does,
 // so daemon output byte-diffs cleanly against the CLI.
-func (m *manager) runExperiment(j *job) (err error) {
+func (m *manager) runExperiment(j *job) error {
 	st := j.snapshotStatus()
 	spec := st.Spec.Experiment
-	cfg := core.Config{
-		Seed:       spec.Seed,
-		Quick:      spec.Quick,
-		Trials:     spec.Trials,
-		Scale:      spec.Scale,
-		Shards:     spec.Shards,
-		Checkpoint: &core.Checkpoint{Store: core.DirStore{Dir: filepath.Join(m.jobDir(st.ID), "ckpt")}},
-		Interrupt: func() bool {
-			if j.cancel.Load() {
-				return true
-			}
-			select {
-			case <-m.stop:
-				return true
-			default:
-				return false
-			}
-		},
+	cfg := spec.config()
+	cfg.Checkpoint = &core.Checkpoint{Store: core.DirStore{Dir: filepath.Join(m.jobDir(st.ID), "ckpt")}}
+	cfg.Interrupt = func() bool {
+		if j.cancel.Load() {
+			return true
+		}
+		select {
+		case <-m.stop:
+			return true
+		default:
+			return false
+		}
 	}
-	var tables []*stats.Table
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if e, ok := r.(error); ok && errors.Is(e, core.ErrInterrupted) {
-					if j.cancel.Load() {
-						err = errCanceled
-					} else {
-						err = errShutdown
-					}
-					return
-				}
-				panic(r)
-			}
-		}()
-		tables, err = core.Run(spec.ID, cfg)
-	}()
+	tables, err := core.Run(spec.ID, cfg)
 	if err != nil {
 		return err
 	}

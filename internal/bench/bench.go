@@ -55,9 +55,9 @@ type Report struct {
 	// final repeat (wormbench -telemetry exports it). Not compared by the
 	// gate.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
-	// NumCPU is GOMAXPROCS on the collecting machine. The shard-speedup
-	// ratchet in Compare only applies when the current report was
-	// collected with enough parallelism for sharding to plausibly win.
+	// NumCPU is GOMAXPROCS on the collecting machine, recorded so a
+	// baseline names the machine class it came from. Not compared by the
+	// gate.
 	NumCPU int `json:"num_cpu,omitempty"`
 }
 
@@ -98,9 +98,6 @@ type workload struct {
 	unit string
 	run  func() (steps int64, err error)
 	snap func() telemetry.Snapshot
-	// close releases engine resources (the sharded stepper's worker
-	// goroutines) after the workload's last repeat.
-	close func()
 }
 
 // openLoop builds a repeatable open-loop workload on a lazily constructed
@@ -108,9 +105,9 @@ type workload struct {
 // and every later repeat replays the identical run over retained storage
 // with zero heap allocation — so the best-of-repeats allocs/step the gate
 // records is the steady-state figure, 0.000, not the setup amortization.
-func openLoop(cfg traffic.Config) (run func() (int64, error), stop func()) {
+func openLoop(cfg traffic.Config) func() (int64, error) {
 	var runner *traffic.Runner
-	run = func() (int64, error) {
+	return func() (int64, error) {
 		if runner == nil {
 			r, err := traffic.NewRunner(cfg)
 			if err != nil {
@@ -127,12 +124,6 @@ func openLoop(cfg traffic.Config) (run func() (int64, error), stop func()) {
 		}
 		return int64(res.Steps), nil
 	}
-	stop = func() {
-		if runner != nil {
-			runner.Close()
-		}
-	}
-	return run, stop
 }
 
 // lightConfig is the light open-loop operating point (B=4, rate 0.1).
@@ -165,12 +156,9 @@ func kneeConfig() traffic.Config {
 	return cfg
 }
 
-// wideKneeConfig is the sharded stepper's operating point: a 256-input
-// butterfly near its knee (B=2 saturates just above 0.21 at this size),
-// whose standing backlog of in-flight worms clears the per-shard
-// activity cutoff at the benchmarked shard counts. The sequential twin
-// (Shards unset) is the denominator of the shard speedup the Compare
-// ratchet enforces on multicore collectors.
+// wideKneeConfig is the wide operating point: a 256-input butterfly
+// near its knee (B=2 saturates just above 0.21 at this size), whose
+// standing backlog keeps thousands of worms in flight every step.
 func wideKneeConfig() traffic.Config {
 	return traffic.Config{
 		Net:             traffic.NewButterflyNet(256),
@@ -192,10 +180,6 @@ func workloads() []workload {
 	openLight := lightConfig()
 	openKnee := kneeConfig()
 	wideKnee := wideKneeConfig()
-	wideSharded2 := wideKneeConfig()
-	wideSharded2.Shards = 2
-	wideSharded4 := wideKneeConfig()
-	wideSharded4.Shards = 4
 
 	// Deep-buffer knee workloads: the same B=2 near-saturation operating
 	// point, but with 4-flit lanes (static and shared pool) — the deep
@@ -216,8 +200,7 @@ func workloads() []workload {
 	kneeTelemetry.Metrics = met
 
 	open := func(name string, cfg traffic.Config, snap func() telemetry.Snapshot) workload {
-		run, stop := openLoop(cfg)
-		return workload{name: name, unit: "step", run: run, snap: snap, close: stop}
+		return workload{name: name, unit: "step", run: openLoop(cfg), snap: snap}
 	}
 	list := []workload{
 		open("OpenLoopStep/light", openLight, nil),
@@ -226,8 +209,6 @@ func workloads() []workload {
 		open("OpenLoopStep/deepknee-static", deepKneeStatic, nil),
 		open("OpenLoopStep/deepknee-shared", deepKneeShared, nil),
 		open("OpenLoopStep/knee-wide", wideKnee, nil),
-		open("OpenLoopStep/knee-sharded-2", wideSharded2, nil),
-		open("OpenLoopStep/knee-sharded-4", wideSharded4, nil),
 	}
 	for _, b := range []int{1, 2, 4} {
 		b := b
@@ -319,9 +300,6 @@ func Collect(repeats int) (Report, error) {
 			s := w.snap()
 			rep.Telemetry = &s
 		}
-		if w.close != nil {
-			w.close()
-		}
 	}
 	return rep, nil
 }
@@ -341,7 +319,6 @@ func TelemetrySmoke() (telemetry.Snapshot, error) {
 	if err != nil {
 		return telemetry.Snapshot{}, err
 	}
-	defer r.Close()
 	if _, err := r.Run(); err != nil {
 		return telemetry.Snapshot{}, err
 	}
@@ -354,31 +331,8 @@ func TelemetrySmoke() (telemetry.Snapshot, error) {
 // regression (empty means the gate passes). ns/step is compared after
 // normalizing by the calibration ratio with the given fractional
 // tolerance; allocs/step regresses on any increase beyond rounding.
-//
-// One relational check rides along: when the current report was
-// collected with at least four CPUs, the 4-shard knee workload must
-// outrun its sequential twin — the sharded stepper earns its complexity
-// in wall clock, not just byte-identity. Single- and dual-core
-// collectors skip it (there the fan-out barriers are pure overhead by
-// construction), so the gate binds exactly where the speedup claim does.
 func Compare(baseline, current Report, nsTol float64) []string {
 	var bad []string
-	if current.NumCPU >= 4 {
-		var wide, sh4 Entry
-		for _, e := range current.Entries {
-			switch e.Name {
-			case "OpenLoopStep/knee-wide":
-				wide = e
-			case "OpenLoopStep/knee-sharded-4":
-				sh4 = e
-			}
-		}
-		if wide.NsPerStep > 0 && sh4.NsPerStep > 0 && sh4.NsPerStep >= wide.NsPerStep {
-			bad = append(bad, fmt.Sprintf(
-				"OpenLoopStep/knee-sharded-4: %.0f ns/step does not beat the sequential twin's %.0f on a %d-CPU machine",
-				sh4.NsPerStep, wide.NsPerStep, current.NumCPU))
-		}
-	}
 	norm := 1.0
 	if baseline.CalibrationNs > 0 && current.CalibrationNs > 0 {
 		norm = current.CalibrationNs / baseline.CalibrationNs

@@ -95,7 +95,7 @@ func TestCollectSmoke(t *testing.T) {
 	want := []string{
 		"OpenLoopStep/light", "OpenLoopStep/knee", "OpenLoopStep/knee-telemetry",
 		"OpenLoopStep/deepknee-static", "OpenLoopStep/deepknee-shared",
-		"OpenLoopStep/knee-wide", "OpenLoopStep/knee-sharded-2", "OpenLoopStep/knee-sharded-4",
+		"OpenLoopStep/knee-wide",
 		"SimulatorGreedy/B=1", "SimulatorGreedy/B=2", "SimulatorGreedy/B=4",
 		"ParallelHarness/workers=8",
 	}
@@ -141,56 +141,17 @@ func TestDeltaTable(t *testing.T) {
 	}
 }
 
-// TestCompareShardSpeedupGate pins the relational shard ratchet: on a
-// multicore collector the 4-shard knee must beat its sequential twin;
-// below four CPUs the check is silent.
-func TestCompareShardSpeedupGate(t *testing.T) {
-	base := report(100)
-	slow := report(100,
-		entry("OpenLoopStep/knee-wide", 1000, 0),
-		entry("OpenLoopStep/knee-sharded-4", 1200, 0))
-	slow.NumCPU = 8
-	if bad := Compare(base, slow, NsTolerance); len(bad) != 1 || !strings.Contains(bad[0], "sequential twin") {
-		t.Fatalf("slow sharded knee not caught on 8 CPUs: %v", bad)
-	}
-	slow.NumCPU = 2
-	if bad := Compare(base, slow, NsTolerance); len(bad) != 0 {
-		t.Fatalf("shard gate applied on a 2-CPU collector: %v", bad)
-	}
-	fast := report(100,
-		entry("OpenLoopStep/knee-wide", 1000, 0),
-		entry("OpenLoopStep/knee-sharded-4", 700, 0))
-	fast.NumCPU = 8
-	if bad := Compare(base, fast, NsTolerance); len(bad) != 0 {
-		t.Fatalf("fast sharded knee flagged: %v", bad)
-	}
-}
-
 // TestWideKneeWorkloadShape verifies the wide-knee operating point is
-// usable as a benchmark: unsaturated (openLoop rejects saturated runs),
-// and with a standing backlog large enough that the sharded variants
-// engage the parallel stepper at the default activity cutoff — otherwise
-// the three entries would measure the same sequential code path and the
-// speedup ratchet would be vacuous.
+// usable as a benchmark: unsaturated (openLoop rejects saturated runs).
 func TestWideKneeWorkloadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 256-input knee; skipped in -short")
 	}
-	cfg := wideKneeConfig()
-	cfg.Shards = 4
-	r, err := traffic.NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	res, err := r.Run()
+	res, err := traffic.Run(wideKneeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Saturated {
 		t.Fatal("wide-knee operating point saturated; the bench workload would error")
-	}
-	if r.ShardedSteps() == 0 {
-		t.Fatal("wide-knee backlog never engaged the sharded stepper at the default cutoff")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -25,14 +26,9 @@ type Config struct {
 	// (the T14/T15 butterfly input counts; 0 = the experiment's
 	// default). CI runs the default; larger scales — the documented
 	// offline 1024-input T14 and 4096-input T15 — are opt-in via
-	// wormbench -scale.
+	// wormbench -scale. Run rejects a Scale the experiment cannot build
+	// with ErrBadScale.
 	Scale int
-	// Shards steps every open-loop simulator the experiment runs on that
-	// many goroutines (traffic.Config.Shards → vcsim.Config.Shards).
-	// Tables are byte-identical for every value — CI's shard-determinism
-	// matrix diffs them — so sharding is purely a wall-clock lever for
-	// the scale studies.
-	Shards int
 	// Telemetry, when non-nil, collects hot-path counters from every
 	// simulator the experiment runs. Each concurrent job gets its own
 	// child registry (via metrics), folded deterministically at
@@ -72,8 +68,16 @@ func (c Config) metrics() *telemetry.Metrics {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Config) []*stats.Table
+	// MinScale is the smallest butterfly input count the experiment
+	// accepts as Config.Scale; 0 means it ignores Scale.
+	MinScale int
+	Run      func(Config) []*stats.Table
 }
+
+// ErrBadScale is wrapped by every rejection of Config.Scale: a size
+// that is not a power-of-two butterfly at least the experiment's
+// MinScale wide.
+var ErrBadScale = errors.New("core: invalid scale")
 
 var registry = map[string]Experiment{}
 
@@ -93,13 +97,27 @@ func Experiments() []Experiment {
 	return out
 }
 
-// Run executes the experiment with the given ID.
-func Run(id string, cfg Config) ([]*stats.Table, error) {
+// Check reports whether Run would accept cfg for the experiment with
+// the given ID: the ID is registered and any Scale override is one the
+// experiment can build (else the error wraps ErrBadScale). Services call
+// it at submission so a bad spec is a client error, not a failed job.
+func Check(id string, cfg Config) error {
 	e, ok := registry[id]
 	if !ok {
-		return nil, fmt.Errorf("core: unknown experiment %q (have %v)", id, ids())
+		return fmt.Errorf("core: unknown experiment %q (have %v)", id, ids())
 	}
-	return e.Run(cfg), nil
+	if n := cfg.Scale; e.MinScale > 0 && n > 0 && (n&(n-1) != 0 || n < e.MinScale) {
+		return fmt.Errorf("%w: %s scale %d is not a power-of-two butterfly size ≥ %d", ErrBadScale, id, n, e.MinScale)
+	}
+	return nil
+}
+
+// Run executes the experiment with the given ID after Check accepts cfg.
+func Run(id string, cfg Config) ([]*stats.Table, error) {
+	if err := Check(id, cfg); err != nil {
+		return nil, err
+	}
+	return registry[id].Run(cfg), nil
 }
 
 func ids() []string {

@@ -63,7 +63,6 @@ type t14Params struct {
 	maxBacklog int
 	searchHi   float64
 	searchIter int
-	shards     int
 }
 
 func t14Scale(cfg Config) t14Params {
@@ -77,14 +76,9 @@ func t14Scale(cfg Config) t14Params {
 		maxBacklog: 1 << 16,
 		searchHi:   2,
 		searchIter: 10,
-		shards:     cfg.Shards,
 	}
 	if cfg.Scale > 0 {
-		n := cfg.Scale
-		if n&(n-1) != 0 || n < 8 {
-			panic(fmt.Sprintf("T14: -scale %d is not a power-of-two butterfly size ≥ 8", n))
-		}
-		p.n = n
+		p.n = cfg.Scale // Check bounds it by the registered MinScale
 	}
 	if cfg.Quick {
 		p.n = 64
@@ -113,7 +107,6 @@ func (p t14Params) traffic(a T14Arch, rate float64, seed uint64) traffic.Config 
 		Drain:           p.drain,
 		MaxBacklog:      p.maxBacklog,
 		Seed:            seed,
-		Shards:          p.shards,
 	}
 }
 
@@ -205,8 +198,9 @@ func t14SatTable(rows []T14SatRow) *stats.Table {
 
 func init() {
 	register(Experiment{
-		ID:    "T14",
-		Title: "Scale study — 256-input butterfly (offline: -scale 1024): load curves and saturation over (B, d)",
+		ID:       "T14",
+		Title:    "Scale study — 256-input butterfly (offline: -scale 1024): load curves and saturation over (B, d)",
+		MinScale: 8,
 		Run: func(cfg Config) []*stats.Table {
 			return []*stats.Table{
 				t14CurveTable(T14OpenLoop(cfg)),

@@ -26,9 +26,8 @@ import (
 //     harness, not the simulation — and sit outside the scope list.)
 //
 // This is the static face of the differential replay oracle: the class
-// of cross-goroutine determinism bugs the ROADMAP's sharded-PDES core
-// would meet (map-order fanout, stray rng) is caught here before any
-// fuzzer could.
+// of determinism bugs a parallel harness meets (map-order fanout, stray
+// rng) is caught here before any fuzzer could.
 var DeterminismAnalyzer = &lintkit.Analyzer{
 	Name: "determinism",
 	Doc:  "flag map-order iteration, math/rand, and wall-clock reads in simulator packages",

@@ -2,10 +2,12 @@ package schedule
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"wormhole/internal/analysis"
+	"wormhole/internal/deadlock"
 	"wormhole/internal/graph"
 	"wormhole/internal/message"
 	"wormhole/internal/rng"
@@ -337,5 +339,52 @@ func TestScheduleReleasesMatchColors(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEmptySetSchedules: with no messages both constructions still yield
+// one (empty) class with unit spacing, and the schedule verifies.
+func TestEmptySetSchedules(t *testing.T) {
+	set := message.NewSet(topology.NewLinearArray(3))
+	sched, err := Build(set, Options{B: 2}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := NaiveSchedule(set)
+	for name, s := range map[string]*Schedule{"build": sched, "naive": naive} {
+		if s.NumClasses != 1 || s.Spacing != 1 || s.LengthUB != 1 {
+			t.Errorf("%s: classes %d spacing %d bound %d, want 1/1/1", name, s.NumClasses, s.Spacing, s.LengthUB)
+		}
+		if _, err := Verify(set, s); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestVerifyRejectsBrokenSchedules: Verify must refuse a schedule that
+// breaks a Theorem 2.1.6 guarantee — a makespan past its bound, classes
+// that stall, or a release pattern that deadlocks — rather than pass it.
+func TestVerifyRejectsBrokenSchedules(t *testing.T) {
+	set := butterflyWorkload(16, 4, 10, 8)
+	good, err := Build(set, Options{B: 1, ConstantScale: 0.05}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := *good
+	tight.LengthUB = 1
+	if _, err := Verify(set, &tight); err == nil || !strings.Contains(err.Error(), "makespan") {
+		t.Errorf("makespan over bound: got %v", err)
+	}
+	crowded := *good
+	crowded.Releases = make([]int, set.Len()) // every class at once
+	if _, err := Verify(set, &crowded); err == nil || !strings.Contains(err.Error(), "stalls") {
+		t.Errorf("simultaneous release: got %v", err)
+	}
+
+	// Two worms chasing each other around a one-class ring deadlock.
+	ring := deadlock.NewRing(8, 1).SparseWorkload([]int{0, 4}, 7, 6)
+	stuck := &Schedule{B: 1, Releases: make([]int, ring.Len()), LengthUB: 1 << 20}
+	if _, err := Verify(ring, stuck); err == nil || !strings.Contains(err.Error(), "delivered") {
+		t.Errorf("deadlocking release: got %v", err)
 	}
 }

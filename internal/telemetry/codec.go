@@ -19,8 +19,9 @@ import (
 // metricsCodecVersion is bumped whenever the encoding below changes
 // incompatibly. Appending counter slots does NOT bump it: the slot
 // count is encoded explicitly. v2 added the per-edge fault-time
-// accumulator as a fifth edge array.
-const metricsCodecVersion = 2
+// accumulator as a fifth edge array. v3 removed the sharded stepper's
+// two counter slots from the middle of the counter list.
+const metricsCodecVersion = 3
 
 // ErrMetricsCodec is wrapped by every decode failure in
 // (*Metrics).UnmarshalBinary.

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/binary"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -91,6 +92,20 @@ func TestMetricsCodecOlderWriterZeroFills(t *testing.T) {
 	}
 	if got.ctr[0] != m.ctr[0] || got.horizon != m.horizon {
 		t.Error("known slots corrupted by the short decode")
+	}
+}
+
+// TestMetricsCodecRejectsV2Blob: testdata/metrics-v2.bin was written by
+// the v2 codec, whose counter list still held two slots v3 removed from
+// its middle. Decoding it must fail with ErrMetricsCodec rather than
+// shift every later counter by two.
+func TestMetricsCodecRejectsV2Blob(t *testing.T) {
+	blob, err := os.ReadFile("testdata/metrics-v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewMetrics().UnmarshalBinary(blob); !errors.Is(err, ErrMetricsCodec) {
+		t.Fatalf("v2 metrics blob: got %v, want ErrMetricsCodec", err)
 	}
 }
 

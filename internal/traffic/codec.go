@@ -133,7 +133,7 @@ func (s *runnerReader) sketch(sk *Sketch) {
 
 // digest lists every schedule-relevant numeric Config field, in a fixed
 // order shared by the snapshot writer and the restore verifier. The
-// hook fields and mechanism-only knobs (Shards, Metrics, Trace,
+// hook fields and observation-only knobs (Metrics, Trace,
 // OnWindow, OnStep, Publish, the Network closures) are absent by
 // design: a restored run may swap them freely.
 func (c *Config) digest() []struct {

@@ -118,3 +118,51 @@ func TestSketchMerge(t *testing.T) {
 		}
 	}
 }
+
+// TestSketchEdgeCases pins the boundary behavior the streaming paths
+// rely on: an empty sketch reports zeros, negative samples clamp to
+// zero, out-of-range quantile levels clamp to the extreme ranks, a
+// bucket's representative is clamped into the observed [Min, Max], and
+// Merge handles empty operands on either side.
+func TestSketchEdgeCases(t *testing.T) {
+	var empty Sketch
+	if empty.Count() != 0 || empty.Mean() != 0 || empty.Quantile(0.5) != 0 || empty.Min() != 0 || empty.Max() != 0 {
+		t.Fatalf("empty sketch: n=%d mean=%g p50=%g min=%d max=%d",
+			empty.Count(), empty.Mean(), empty.Quantile(0.5), empty.Min(), empty.Max())
+	}
+
+	var neg Sketch
+	neg.Add(-5)
+	if neg.Min() != 0 || neg.Max() != 0 || neg.Quantile(1) != 0 {
+		t.Fatalf("negative sample not clamped: min=%d max=%d", neg.Min(), neg.Max())
+	}
+
+	var s Sketch
+	for _, v := range []int{3, 5, 9} {
+		s.Add(v)
+	}
+	if lo, hi := s.Quantile(-1), s.Quantile(2); lo != 3 || hi != 9 {
+		t.Fatalf("quantile(-1)=%g quantile(2)=%g, want 3 and 9", lo, hi)
+	}
+
+	// 1024 and 1055 share a bucket whose representative, 1040, lies
+	// above the first and below the second; a lone sample must still
+	// read back exactly.
+	for _, v := range []int{1024, 1055} {
+		var one Sketch
+		one.Add(v)
+		if got := one.Quantile(0.5); got != float64(v) {
+			t.Errorf("single sample %d: p50 = %g", v, got)
+		}
+	}
+
+	var into Sketch
+	into.Merge(&empty)
+	if into.Count() != 0 {
+		t.Fatal("merging an empty sketch added samples")
+	}
+	into.Merge(&s)
+	if into.Count() != 3 || into.Min() != 3 || into.Max() != 9 || into.Mean() != s.Mean() {
+		t.Fatalf("merge into empty: n=%d min=%d max=%d", into.Count(), into.Min(), into.Max())
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wormhole/internal/telemetry"
 	"wormhole/internal/vcsim"
 )
 
@@ -46,6 +47,29 @@ func TestRunDeterminism(t *testing.T) {
 				t.Errorf("%s/%s: no messages injected", proc, pat)
 			}
 		}
+	}
+}
+
+// TestRunnerSamplesArena: a Runner never calls Sim.Result, so the run's
+// end must sample the simulator's arena itself — with Metrics attached
+// the registry reports a non-zero arena, and the Result is unchanged.
+func TestRunnerSamplesArena(t *testing.T) {
+	cfg := smallCfg()
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Metrics = telemetry.NewMetrics()
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("attaching Metrics changed the result\nwant: %+v\n got: %+v", want, got)
+	}
+	arena := cfg.Metrics.Snapshot().Arena
+	if arena.Capacity <= 0 || arena.Used <= 0 {
+		t.Fatalf("runner run reports arena used %d / capacity %d, want both > 0", arena.Used, arena.Capacity)
 	}
 }
 
@@ -184,6 +208,41 @@ func TestSaturationRateMonotoneInB(t *testing.T) {
 	}
 }
 
+// TestSaturationRateBrackets covers the search's bracket handling: an
+// empty bracket and an unrunnable config are errors, an unset Hi takes
+// the process's MaxRate and an over-large one is clamped to it, and a
+// network that sustains the upper bracket reports it after one probe.
+func TestSaturationRateBrackets(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Process = Bernoulli // MaxRate 1
+	cfg.Measure = 128
+	cfg.MaxBacklog = 512
+	if _, err := SaturationRate(cfg, SearchOptions{Lo: 0.5, Hi: 0.5}); err == nil {
+		t.Error("empty bracket accepted")
+	}
+	bad := cfg
+	bad.VirtualChannels = 0
+	if _, err := SaturationRate(bad, SearchOptions{Hi: 0.5, Iters: 1}); err == nil {
+		t.Error("invalid config accepted")
+	}
+	easy, err := SaturationRate(cfg, SearchOptions{Hi: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if easy.Rate != 0.01 || len(easy.Probes) != 1 {
+		t.Errorf("sustained bracket: rate %g after %d probes, want 0.01 after 1", easy.Rate, len(easy.Probes))
+	}
+	for _, hi := range []float64{0, 5} {
+		sr, err := SaturationRate(cfg, SearchOptions{Hi: hi, Iters: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first := sr.Probes[0].Rate; first != 1 {
+			t.Errorf("Hi=%g: first probe at %g, want MaxRate 1", hi, first)
+		}
+	}
+}
+
 // TestSaturationSearchDeterminism: two searches agree probe for probe.
 func TestSaturationSearchDeterminism(t *testing.T) {
 	cfg := smallCfg()
@@ -210,7 +269,7 @@ func TestSaturationSearchDeterminism(t *testing.T) {
 // on the endpoint space (otherwise they are not permutation traffic).
 func TestPermutationPatterns(t *testing.T) {
 	for _, pat := range []Pattern{Transpose, BitReverse} {
-		for _, n := range []int{8, 16, 64} {
+		for _, n := range []int{2, 8, 16, 64} {
 			cfg := Config{Net: NewButterflyNet(n), Pattern: pat}
 			seen := map[int]bool{}
 			for s := 0; s < n; s++ {
@@ -223,6 +282,19 @@ func TestPermutationPatterns(t *testing.T) {
 			if len(seen) != n {
 				t.Errorf("%s n=%d: only %d distinct destinations", pat, n, len(seen))
 			}
+		}
+	}
+}
+
+// TestPatternNames pins the labels patterns print under, including the
+// fallback for a value outside the enumeration.
+func TestPatternNames(t *testing.T) {
+	for p, want := range map[Pattern]string{
+		Uniform: "uniform", Transpose: "transpose", BitReverse: "bit-reverse",
+		Hotspot: "hotspot", Pattern(9): "pattern(9)",
+	} {
+		if got := p.String(); got != want {
+			t.Errorf("Pattern(%d).String() = %q, want %q", int(p), got, want)
 		}
 	}
 }
@@ -355,66 +427,5 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("mutation %d: expected a validation error", i)
 		}
-	}
-}
-
-// TestShardByteIdentity pins the Config.Shards contract at the traffic
-// layer: the full Result — latency percentiles, windows, backlog, every
-// field — is deeply equal for every shard count, and an overloaded run
-// (whose standing backlog clears the sharded stepper's activity cutoff)
-// really does engage the parallel path.
-func TestShardByteIdentity(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Net = NewButterflyNet(64)
-	cfg.MessageLength = 6
-	cfg.Rate = 0.9 // overload: the backlog grows past the per-shard cutoff
-	cfg.MaxBacklog = 1 << 15
-	base, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		sc := cfg
-		sc.Shards = shards
-		r, err := NewRunner(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, res) {
-			t.Errorf("shards=%d: result diverged from sequential\nseq:     %+v\nsharded: %+v", shards, base, res)
-		}
-		if shards > 1 && r.ShardedSteps() == 0 {
-			t.Errorf("shards=%d: overloaded run never engaged the sharded stepper", shards)
-		}
-		r.Close()
-	}
-}
-
-// TestShardFallbackReason pins the runner-level pass-through: a config
-// with a standing inhibitor names it, a shardable one reports none.
-func TestShardFallbackReason(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Shards = 4
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := r.ShardFallbackReason(); got != "" {
-		t.Errorf("shardable config reports %q", got)
-	}
-
-	cfg.RestrictedBandwidth = true
-	rb, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
-	if got := rb.ShardFallbackReason(); got == "" {
-		t.Error("restricted-bandwidth config reports no fallback reason")
 	}
 }

@@ -3,14 +3,14 @@ package vcsim
 // Checkpoint/restore differentials: a Sim snapshotted mid-run, restored
 // into a fresh process-equivalent Sim, must continue the run
 // byte-identically to the uninterrupted original — across both steppers,
-// every policy, deep lanes, shared pools, and cross-shard restores
-// (snapshot under one Shards setting, restore under another). The decode
-// path is additionally held to never panic on corrupt or truncated
-// input.
+// every policy, deep lanes and shared pools, and with CheckInvariants
+// flipped across the cut. The decode path is additionally held to never
+// panic on corrupt or truncated input.
 
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -53,7 +53,6 @@ func roundTrip(t *testing.T, name string, set *message.Set, releases []int, cfg,
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	defer oracle.Close()
 	snapInject(t, oracle, set, releases)
 	snapDrain(oracle)
 	want := oracle.Result()
@@ -62,7 +61,6 @@ func roundTrip(t *testing.T, name string, set *message.Set, releases []int, cfg,
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	defer victim.Close()
 	snapInject(t, victim, set, releases)
 	for victim.Now() < snapStep && victim.Active() > 0 {
 		if victim.Step() != nil {
@@ -78,7 +76,6 @@ func roundTrip(t *testing.T, name string, set *message.Set, releases []int, cfg,
 	if err != nil {
 		t.Fatalf("%s: restore: %v", name, err)
 	}
-	defer restored.Close()
 	if restored.Now() != victim.Now() || restored.Active() != victim.Active() {
 		t.Fatalf("%s: restored at step %d with %d active, victim at %d with %d",
 			name, restored.Now(), restored.Active(), victim.Now(), victim.Active())
@@ -120,16 +117,16 @@ func roundTrip(t *testing.T, name string, set *message.Set, releases []int, cfg,
 }
 
 // TestSnapshotRoundTripDifferential fuzzes the snapshot step across the
-// (policy × LaneDepth × SharedPool × Shards) grid, restoring each
-// snapshot under a different Shards setting than it was taken with —
-// checkpoint migration across stepper mechanisms must be invisible.
+// (policy × LaneDepth × SharedPool) grid, twice per cell, restoring the
+// second snapshot with CheckInvariants off — a checking-only knob must
+// not perturb the continued run.
 func TestSnapshotRoundTripDifferential(t *testing.T) {
 	r := rng.New(0xC0DEC)
 	caseID := 0
 	for _, pol := range []Policy{ArbByID, ArbAge, ArbRandom} {
 		for _, depth := range []int{1, 2} {
 			for _, shared := range []bool{false, true} {
-				for _, shards := range []int{0, 4} {
+				for _, check := range []bool{true, false} {
 					topo := uint8(caseID % 3)
 					seed := uint64(1000 + caseID)
 					set, releases := fuzzWorkload(seed, topo, 18)
@@ -142,11 +139,10 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 						Arbitration:         pol,
 						Seed:                seed,
 						MaxSteps:            1 << 16,
-						Shards:              shards,
 						CheckInvariants:     true,
 					}
 					restoreCfg := cfg
-					restoreCfg.Shards = 4 - shards // 0↔4: cross-mechanism restore
+					restoreCfg.CheckInvariants = check
 					snapStep := 1 + r.Intn(40)
 					roundTrip(t, pol.String(), set, releases, cfg, restoreCfg, snapStep)
 					caseID++
@@ -198,12 +194,10 @@ func TestSnapshotResumesInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer oracle.Close()
 	victim, err := NewSim(set.G, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer victim.Close()
 	for _, si := range []*Sim{oracle, victim} {
 		inject(si, 0, half, 0)
 		if err := si.StepTo(8); err != nil {
@@ -219,7 +213,6 @@ func TestSnapshotResumesInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
 
 	// Second wave of injections lands on the oracle and the restoration.
 	inject(oracle, half, set.Len(), 8)
@@ -246,7 +239,6 @@ func TestSnapshotCarriesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer oracle.Close()
 	snapInject(t, oracle, set, releases)
 	snapDrain(oracle)
 
@@ -257,7 +249,6 @@ func TestSnapshotCarriesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer victim.Close()
 	snapInject(t, victim, set, releases)
 	if err := victim.StepTo(9); err != nil {
 		t.Fatal(err)
@@ -274,7 +265,6 @@ func TestSnapshotCarriesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
 	snapDrain(restored)
 
 	want, got := full.Snapshot(), resumed.Snapshot()
@@ -294,7 +284,6 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer si.Close()
 	snapInject(t, si, set, releases)
 	if err := si.StepTo(5); err != nil {
 		t.Fatal(err)
@@ -331,12 +320,28 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	if _, err := RestoreSim(other.G, cfg, bytes.NewReader(blob.Bytes())); !errors.Is(err, ErrSnapshotConfig) {
 		t.Errorf("wrong network: got %v, want ErrSnapshotConfig", err)
 	}
-	// Mechanism-only fields restore freely.
+	// The checking-only field restores freely.
 	free := cfg
-	free.Shards = 8
 	free.CheckInvariants = true
 	if _, err := RestoreSim(set.G, free, bytes.NewReader(blob.Bytes())); err != nil {
-		t.Errorf("Shards/CheckInvariants should be unverified: %v", err)
+		t.Errorf("CheckInvariants should be unverified: %v", err)
+	}
+}
+
+// TestRestoreRejectsV2Snapshot: testdata/wormsnap-v2.bin is a WORMSNAP
+// v2 blob, with an attached metrics registry, that the v2 engine wrote
+// and restored. v3 dropped a run counter, so restoring the blob into
+// the same network and Config must fail with ErrSnapshotFormat rather
+// than misread it.
+func TestRestoreRejectsV2Snapshot(t *testing.T) {
+	blob, err := os.ReadFile("testdata/wormsnap-v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, _ := fuzzWorkload(7, 0, 8)
+	cfg := Config{VirtualChannels: 2, Arbitration: ArbAge, Seed: 7, MaxSteps: 1 << 16, Metrics: telemetry.NewMetrics()}
+	if _, err := RestoreSim(set.G, cfg, bytes.NewReader(blob)); !errors.Is(err, ErrSnapshotFormat) {
+		t.Fatalf("v2 snapshot: got %v, want ErrSnapshotFormat", err)
 	}
 }
 
@@ -350,7 +355,6 @@ func TestRestoreNeverPanicsOnCorruptInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer si.Close()
 	snapInject(t, si, set, releases)
 	if err := si.StepTo(7); err != nil {
 		t.Fatal(err)
@@ -389,7 +393,6 @@ func TestRestoreNeverPanicsOnCorruptInput(t *testing.T) {
 			// timestamp) can still decode; it must at least not wedge
 			// the stepper.
 			snapDrain(si2)
-			si2.Close()
 		}
 	}
 }

@@ -28,7 +28,7 @@ package vcsim
 //
 // Events scheduled inside a trailing idle span that no step ever
 // executes (a truncated run, or a horizon past the last worm) stay
-// unapplied — consistently across engines and shard counts.
+// unapplied — consistently across engines.
 //
 // Blocked worms split two ways. A worm whose header is still at its
 // source (nothing injected) and whose first edge is dead can abort the
@@ -255,14 +255,12 @@ func (si *Sim) Aborted() int { return si.aborted }
 // outage's doing, not a pure virtual-channel cycle.
 func (si *Sim) FaultDeadlocked() bool { return si.faultDead }
 
-// FoldFaultTime folds every still-open outage span into the metrics
+// foldFaultTime folds every still-open outage span into the metrics
 // registry's per-edge fault-time accumulator, up to the current step.
 // Idempotent (the open markers advance to now), and a no-op without a
-// fault schedule or metrics registry; Result calls it implicitly, and
-// long-lived drivers (the traffic Runner) call it at their own
-// reporting boundaries.
-func (si *Sim) FoldFaultTime() {
-	if si.faultSince == nil || si.met == nil {
+// fault schedule; the caller (FoldGauges) checks the registry.
+func (si *Sim) foldFaultTime() {
+	if si.faultSince == nil {
 		return
 	}
 	for e, s := range si.faultSince {

@@ -2,9 +2,12 @@ package wormclient
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,5 +169,113 @@ func TestContextDeadlineBoundsRetries(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("deadline did not bound retries: took %v", elapsed)
+	}
+}
+
+// TestJSONHelpers: PostJSON round-trips its body and may discard the
+// reply, an unencodable input fails before any request is sent, and a
+// non-2xx reply to either helper is the typed StatusError whose message
+// names the code.
+func TestJSONHelpers(t *testing.T) {
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		if r.URL.Path == "/missing" {
+			http.Error(w, "no such job", http.StatusNotFound)
+			return
+		}
+		io.Copy(w, r.Body) //nolint:errcheck
+	}))
+	defer srv.Close()
+	c := New(srv.URL, WithHTTPClient(srv.Client()), WithRetry(2, time.Millisecond, time.Millisecond))
+	ctx := context.Background()
+
+	var out map[string]int
+	if err := c.PostJSON(ctx, "/echo", map[string]int{"n": 7}, &out); err != nil || out["n"] != 7 {
+		t.Fatalf("echo: %v %v", out, err)
+	}
+	if err := c.PostJSON(ctx, "/echo", map[string]int{"n": 1}, nil); err != nil {
+		t.Fatalf("echo without decode: %v", err)
+	}
+	before := calls.Load()
+	if err := c.PostJSON(ctx, "/echo", make(chan int), nil); err == nil || calls.Load() != before {
+		t.Fatalf("unencodable input: err %v after %d requests", err, calls.Load()-before)
+	}
+	if err := c.PostJSON(ctx, "/missing", struct{}{}, nil); !IsStatus(err, http.StatusNotFound) {
+		t.Fatalf("POST 404: %v", err)
+	}
+	err := c.GetJSON(ctx, "/missing", &out)
+	if !IsStatus(err, http.StatusNotFound) || !strings.Contains(err.Error(), "HTTP 404") {
+		t.Fatalf("GET 404: %v", err)
+	}
+}
+
+// TestServerErrorBodyBounded: a persistent 5xx exhausts the attempt
+// budget with the backoff clamped at its cap, and the StatusError keeps
+// only the first maxErrBody bytes of the reply.
+func TestServerErrorBodyBounded(t *testing.T) {
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusBadGateway)
+		io.WriteString(w, strings.Repeat("x", 3*maxErrBody)) //nolint:errcheck
+	}))
+	defer srv.Close()
+
+	c := New(srv.URL, WithRetry(4, time.Millisecond, time.Millisecond), WithJitterSeed(4))
+	_, err := c.Get(context.Background(), "/x")
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadGateway || len(se.Body) != maxErrBody {
+		t.Fatalf("got %v", err)
+	}
+	if calls.Load() != 4 {
+		t.Fatalf("%d attempts, want 4", calls.Load())
+	}
+}
+
+// TestTransportFailures: a request that cannot be built and a reply cut
+// short are plain errors, never StatusErrors; a context that expires
+// mid-request or mid-backoff ends the exchange at once with its error.
+func TestTransportFailures(t *testing.T) {
+	ctx := context.Background()
+	if _, err := testClient("http://bad host").Get(ctx, "/x"); err == nil || IsStatus(err, 0) {
+		t.Fatalf("unbuildable URL: %v", err)
+	}
+
+	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "100")
+		w.Write([]byte("short")) //nolint:errcheck
+	}))
+	defer short.Close()
+	if _, err := testClient(short.URL).Get(ctx, "/x"); err == nil || IsStatus(err, 0) {
+		t.Fatalf("truncated body: %v", err)
+	}
+
+	var calls atomic.Int32
+	release := make(chan struct{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer slow.Close()
+	defer close(release)
+	dctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if _, err := testClient(slow.URL).Get(dctx, "/x"); !errors.Is(err, context.DeadlineExceeded) || calls.Load() != 1 {
+		t.Fatalf("deadline mid-request: %v after %d attempts", err, calls.Load())
+	}
+
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	defer down.Close()
+	bctx, cancel2 := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel2()
+	c := New(down.URL, WithRetry(3, time.Hour, time.Hour), WithJitterSeed(5))
+	if _, err := c.Get(bctx, "/x"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline mid-backoff: %v", err)
 	}
 }
