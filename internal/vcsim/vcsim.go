@@ -611,6 +611,8 @@ type Sim struct {
 	// crossing count within that step. A stale stamp reads as zero, so
 	// body-flit crossings touch no end-of-step state at all — the dirty
 	// list below carries only credit events, the ones wakeups care about.
+	// Inside the contest-edge regime (see contestLemma) the rigid engine
+	// writes only final-edge meters: no check there reads a body edge's.
 	crossings []uint64
 	// dirty lists the edges with credit releases this step — the only
 	// edges whose counters need folding and whose wait queues can need a
@@ -1310,12 +1312,33 @@ func (si *Sim) tryMove(w *worm) (bool, int32) {
 //wormvet:hotpath
 func (si *Sim) crossStamp() uint64 { return uint64(si.now+1) << 32 }
 
+// contestLemma reports whether the contest-edge lemma holds: the rigid
+// wakeup engine (the only one that classifies edge roles) at full
+// crossing bandwidth (cap == B) with unmixed edge roles. There a rigid
+// worm's bandwidth checks can bind only on its final edge (proof at the
+// fast path in tryAdvance). wakeEdge's count rule rests on the same
+// fact: a woken worm cannot decline its freed slot on a body edge.
+//
+// mixedFinal can flip between steps (markPathRoles on Inject), never
+// within one, so the verdict is constant across a step; it is derived
+// on each call from state WORMSNAP already stores.
+//
+//wormvet:hotpath
+func (si *Sim) contestLemma() bool {
+	return si.finalSeen != nil && !si.mixedFinal && si.cap == si.b
+}
+
 // tryAdvance attempts to move worm w one step, honoring buffer and
 // bandwidth constraints. On success it performs the move and returns
 // true. A slot failure returns the full edge, telling the wakeup engine
 // where to park the worm (only a slot event on that edge can change the
 // verdict). A bandwidth failure returns -1: crossing capacity resets
 // every step, so the block is transient and the worm must simply retry.
+//
+// Inside the contest-edge regime (contestLemma, no fault schedule) only
+// the final edge's bandwidth meter is checked and written; elsewhere —
+// the naive oracle, restricted bandwidth at B > 1, mixed edge roles, a
+// fault schedule — every crossed edge's meter is.
 //
 //wormvet:hotpath
 func (si *Sim) tryAdvance(w *worm) (bool, int32) {
@@ -1374,26 +1397,71 @@ func (si *Sim) tryAdvance(w *worm) (bool, int32) {
 	// this step must still have crossing capacity.
 	stamp := si.crossStamp()
 	lo, hi := w.crossed()
-	for i := lo; i <= hi; i++ {
-		if cw := si.crossings[path[i]]; cw >= stamp && int32(cw-stamp) >= si.capI32 {
-			if m := si.met; m != nil {
-				m.EdgeStall(telemetry.CtrStallBandwidth, path[i])
+	if si.faults == nil && si.contestLemma() {
+		// Contest-edge fast path (see contestLemma for the regime).
+		//
+		// Body edges cannot bind. Every edge the worm crosses except
+		// path[d−1] is a body edge on which it holds a buffer slot, or,
+		// for path[frontier], was just granted one: a worm keeps its slot
+		// on path[i] from the step its header crosses path[i] until the
+		// step after its tail does, and the edge released this step,
+		// path[frontier−L], is not crossed. Releases fold only at step
+		// end and laneFree admits at most B holders, so at most B
+		// distinct worms cross a body edge in one step, each once. With
+		// unmixed roles no final crossing, which holds no slot, lands on
+		// a body edge. So at cap == B a body-edge meter never reaches cap
+		// before a crosser's own check, and a slot contender
+		// (frontier < d−1) is decided by its slot check alone.
+		//
+		// Slot contenders never cross a final edge. They cross only
+		// path[lo..frontier] with frontier ≤ d−2, i.e. their own body
+		// edges, and with unmixed roles no body edge is final for any
+		// other path. A worm at frontier ≥ d−1 can therefore fail only
+		// on path[d−1], whose meter counts exactly the final crossings
+		// committed so far this step. It is the one meter written here:
+		// no check reads a body-edge meter in this regime.
+		//
+		// Pitfall: the finalSeen != nil term of contestLemma is what
+		// keeps the naive stepper on the full check. It never classifies
+		// roles, so mixedFinal stays false there even on mixed-role
+		// workloads; without the term the wakeup-vs-naive differential
+		// failed (fuzz corpus entry 9ccde7fea42d9c59).
+		if needSlot < 0 {
+			f := path[w.d-1]
+			cw := si.crossings[f]
+			if cw >= stamp && int32(cw-stamp) >= si.capI32 {
+				if m := si.met; m != nil {
+					m.EdgeStall(telemetry.CtrStallBandwidth, f)
+				}
+				return false, -1
 			}
-			return false, -1
+			if cw < stamp {
+				cw = stamp
+			}
+			si.crossings[f] = cw + 1
+		}
+	} else {
+		for i := lo; i <= hi; i++ {
+			if cw := si.crossings[path[i]]; cw >= stamp && int32(cw-stamp) >= si.capI32 {
+				if m := si.met; m != nil {
+					m.EdgeStall(telemetry.CtrStallBandwidth, path[i])
+				}
+				return false, -1
+			}
+		}
+		for i := lo; i <= hi; i++ {
+			e := path[i]
+			cw := si.crossings[e]
+			if cw < stamp {
+				cw = stamp
+			}
+			si.crossings[e] = cw + 1
 		}
 	}
-	// Commit.
+	// Commit the slot grant.
 	if needSlot >= 0 {
 		si.laneFree[needSlot]--
 		si.touchMax(needSlot)
-	}
-	for i := lo; i <= hi; i++ {
-		e := path[i]
-		cw := si.crossings[e]
-		if cw < stamp {
-			cw = stamp
-		}
-		si.crossings[e] = cw + 1
 	}
 	si.flitHops += int64(hi - lo + 1)
 	// Tail release: the slot at path[frontier−L] frees when the tail flit

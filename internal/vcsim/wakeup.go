@@ -277,12 +277,13 @@ func (si *Sim) wakeEdge(e int32) {
 		*q = (*q)[:0]
 		return
 	}
-	if si.cap < si.b || si.mixedFinal {
+	if !si.contestLemma() {
 		// Whole-queue wake, for the configurations where a woken worm can
-		// decline its credit. mixedFinal: some edge serves as one
-		// message's final edge and another's body edge, so a final-edge
-		// crossing (which holds no slot) can saturate a woken worm's body
-		// edge and fail it on bandwidth even at cap == B.
+		// decline its credit: cap < B (a body-edge bandwidth miss), or
+		// mixedFinal — some edge serves as one message's final edge and
+		// another's body edge, so a final-edge crossing (which holds no
+		// slot) can saturate a woken worm's body edge and fail it on
+		// bandwidth even at cap == B.
 		for _, k := range *q {
 			si.stampParked(k, int32(si.now))
 			si.wokenScratch = append(si.wokenScratch, k)
